@@ -197,13 +197,12 @@ func TestChaosErasureCoded(t *testing.T) {
 	}
 }
 
-// grayConfig is smallConfig plus the fault-injection layer and aggressive
-// gray-failure detection knobs shared by the gray chaos tests.
+// grayConfig is smallConfig plus the fault-injection layer, a short op
+// deadline and a fast recovery tick, shared by the gray chaos tests.
 func grayConfig() Config {
 	cfg := smallConfig()
 	cfg.FaultInjection = true
 	cfg.OpDeadline = 80 * time.Millisecond
-	cfg.SuspectAfter = 2
 	cfg.NodeRecoveryInterval = 25 * time.Millisecond
 	return cfg
 }

@@ -101,13 +101,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 
-	mcfg.SuspectAfter = c.SuspectAfter
-	mcfg.DeadAfter = c.DeadAfter
-	mcfg.StragglerFactor = c.StragglerFactor
-	mcfg.StragglerMinLatency = c.StragglerMinLatency
-	mcfg.StragglerMinSamples = c.StragglerMinSamples
-	mcfg.SuspectProbeLimit = c.SuspectProbeLimit
-	mcfg.DegradeExitProbes = c.DegradeExitProbes
 	if c.BackupReads {
 		// Lease soundness needs acks to imply visibility: writes wait for
 		// their apply, and after a node exclusion acks hold until every

@@ -129,38 +129,52 @@ func TestWriteTargetsPartitionsSuspects(t *testing.T) {
 
 func TestNoteNodeErrorSuspicionThenDeath(t *testing.T) {
 	e := newEnv(t, 3, Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}.Layout())
-	cfg := baseConfig(e, "c0")
-	cfg.SuspectAfter = 2
-	cfg.DeadAfter = 4
-	m := newMemory(t, cfg)
+	m := newMemory(t, baseConfig(e, "c0"))
+	conn := func(i int) rdma.Verbs {
+		t.Helper()
+		c, err := m.conn(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c0 := conn(0)
 
-	m.noteNodeError(0, rdma.ErrDeadline)
+	for n := 1; n < suspectAfter; n++ {
+		m.noteResult(0, c0, 0, rdma.ErrDeadline)
+	}
 	if s := m.state[0].Load(); s != nodeLive {
-		t.Fatalf("after 1 timeout: state %d, want live", s)
+		t.Fatalf("after %d timeouts: state %d, want live", suspectAfter-1, s)
 	}
-	m.noteNodeError(0, rdma.ErrDeadline)
+	m.noteResult(0, c0, 0, rdma.ErrDeadline)
 	if s := m.state[0].Load(); s != nodeSuspect {
-		t.Fatalf("after 2 timeouts: state %d, want suspect", s)
+		t.Fatalf("after %d timeouts: state %d, want suspect", suspectAfter, s)
 	}
-	m.noteNodeError(0, rdma.ErrDeadline)
-	m.noteNodeError(0, rdma.ErrDeadline)
+	for n := suspectAfter + 1; n < deadAfter; n++ {
+		m.noteResult(0, c0, 0, rdma.ErrDeadline)
+	}
+	if s := m.state[0].Load(); s != nodeSuspect {
+		t.Fatalf("after %d timeouts: state %d, want still suspect", deadAfter-1, s)
+	}
+	m.noteResult(0, c0, 0, rdma.ErrDeadline)
 	if s := m.state[0].Load(); s != nodeDead {
-		t.Fatalf("after 4 timeouts: state %d, want dead", s)
+		t.Fatalf("after %d timeouts: state %d, want dead", deadAfter, s)
 	}
 	st := m.Stats()
-	if st.NodeTimeouts != 4 || st.NodeSuspected != 1 {
-		t.Fatalf("stats timeouts=%d suspected=%d, want 4 and 1", st.NodeTimeouts, st.NodeSuspected)
+	if st.NodeTimeouts != deadAfter || st.NodeSuspected != 1 || st.NodeFailures != 1 {
+		t.Fatalf("stats timeouts=%d suspected=%d failures=%d, want %d, 1, 1",
+			st.NodeTimeouts, st.NodeSuspected, st.NodeFailures, deadAfter)
 	}
 
 	// A success on another node clears its streak.
-	m.noteNodeError(1, rdma.ErrDeadline)
-	m.noteOpResult(1, nil, time.Millisecond, nil)
+	m.noteResult(1, conn(1), 0, rdma.ErrDeadline)
+	m.noteResult(1, nil, time.Millisecond, nil)
 	if n := m.health[1].consecTimeouts.Load(); n != 0 {
 		t.Fatalf("streak after success = %d, want 0", n)
 	}
 
 	// Non-deadline errors kill immediately.
-	m.noteNodeError(2, errors.New("connection reset"))
+	m.noteResult(2, conn(2), 0, errors.New("connection reset"))
 	if s := m.state[2].Load(); s != nodeDead {
 		t.Fatalf("after transport error: state %d, want dead", s)
 	}

@@ -119,7 +119,7 @@ func (g *integrity) bootstrapFresh() {
 			err = c.Write(replRegion, m.layout.IntegrityBase(), image)
 		}
 		if err != nil {
-			m.nodeFailed(i, err)
+			m.noteResult(i, nil, 0, err)
 		}
 	}
 }
@@ -143,7 +143,7 @@ func (g *integrity) loadSums() error {
 				continue
 			}
 		}
-		m.nodeFailed(i, err)
+		m.noteResult(i, nil, 0, err)
 		if e := m.checkOpen(); e != nil {
 			return e
 		}
@@ -264,7 +264,7 @@ func (g *integrity) readPlainVerified(addr uint64, buf []byte) ([]uint64, error)
 			err = c.Read(replRegion, m.physMain(spanStart), scratch)
 		}
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteResult(i, c, 0, err)
 			if e := m.checkOpen(); e != nil {
 				return blockSet(badSet), e
 			}
@@ -324,7 +324,7 @@ func (g *integrity) readECVerified(addr uint64, buf []byte) ([]uint64, error) {
 				m.chunkPool.Put(cp)
 			}
 			if err != nil {
-				m.noteConnError(j, c, err)
+				m.noteResult(j, c, 0, err)
 				if e := m.checkOpen(); e != nil {
 					return bad, e
 				}
@@ -417,7 +417,7 @@ func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
 				continue
 			}
 		}
-		m.noteConnError(i, c, err)
+		m.noteResult(i, c, 0, err)
 		if e := m.checkOpen(); e != nil {
 			return nil, 0, e
 		}
@@ -486,7 +486,7 @@ func (g *integrity) repairPlainBlockLocked(b uint64) ([]byte, int, error) {
 			}
 		}
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteResult(i, c, 0, err)
 			continue
 		}
 		if deviant {
@@ -520,7 +520,7 @@ func (g *integrity) repairECBlockLocked(b uint64) (int, error) {
 				continue
 			}
 		}
-		m.noteConnError(j, c, err)
+		m.noteResult(j, c, 0, err)
 		if e := m.checkOpen(); e != nil {
 			return 0, e
 		}
@@ -558,7 +558,7 @@ func (g *integrity) repairECBlockLocked(b uint64) (int, error) {
 			}
 		}
 		if err != nil {
-			m.noteConnError(j, c, err)
+			m.noteResult(j, c, 0, err)
 			continue
 		}
 		if deviant {
@@ -591,7 +591,7 @@ func (g *integrity) readPlainBlockNoRepair(b uint64) ([]byte, error) {
 				continue
 			}
 		}
-		m.noteConnError(i, c, err)
+		m.noteResult(i, c, 0, err)
 		if e := m.checkOpen(); e != nil {
 			return nil, e
 		}

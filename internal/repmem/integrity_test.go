@@ -27,6 +27,27 @@ func (e *testEnv) replSnapshot(i int, l memnode.Layout) []byte {
 	return full[l.DirectBase():]
 }
 
+// awaitConverged waits until every node's replSnapshot is identical. A
+// majority-acked write may still be landing on the last node; damage
+// injected before it lands would be overwritten rather than detected.
+func (e *testEnv) awaitConverged(t *testing.T, l memnode.Layout) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		same := true
+		for i := 1; i < len(e.names) && same; i++ {
+			same = bytes.Equal(e.replSnapshot(i, l), e.replSnapshot(0, l))
+		}
+		if same {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("replicas never converged")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestPlainReadRepair(t *testing.T) {
 	cfg0 := Config{MemSize: 64 << 10, DirectSize: 16 << 10, WALSlots: 64, WALSlotSize: 512}
 	e := newEnv(t, 3, cfg0.Layout())
@@ -132,10 +153,11 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 	if err := m.DirectWrite(512, direct); err != nil {
 		t.Fatal(err)
 	}
+	e.awaitConverged(t, layout)
 
 	// Silent damage on one node: three main-memory blocks and one
 	// direct-zone byte. No read touches them — only the scrubber can find
-	// this. (Few enough observations to stay under CorruptSuspectAfter.)
+	// this. (Few enough observations to stay under corruptSuspectAfter.)
 	e.corruptByte(t, e.names[2], layout.MainBase()+10)
 	e.corruptByte(t, e.names[2], layout.MainBase()+5000)
 	e.corruptByte(t, e.names[2], layout.MainBase()+9000)
@@ -200,28 +222,45 @@ func TestCorruptionFeedsSuspicion(t *testing.T) {
 	e := newEnv(t, 3, cfg0.Layout())
 	cfg := baseConfig(e, "c")
 	cfg.DirectSize = 0
-	cfg.CorruptSuspectAfter = 2
 	m := newMemory(t, cfg)
 	layout := m.cfg.Layout()
-
-	// Two distinct corrupt blocks on one node cross the threshold.
-	e.corruptByte(t, e.names[1], layout.MainBase()+1)
-	e.corruptByte(t, e.names[1], layout.MainBase()+4096+1)
-	if _, err := m.ScrubOnce(); err != nil {
-		t.Fatal(err)
+	if blocks := m.integ.blocks; blocks < corruptSuspectAfter {
+		t.Fatalf("%d integrity blocks, need at least %d", blocks, corruptSuspectAfter)
+	}
+	health := func() NodeHealth {
+		for _, nh := range m.Health() {
+			if nh.Node == e.names[1] {
+				return nh
+			}
+		}
+		t.Fatalf("no health entry for %s", e.names[1])
+		return NodeHealth{}
+	}
+	corruptBlocks := func(from, to int) {
+		for b := from; b < to; b++ {
+			e.corruptByte(t, e.names[1], layout.MainBase()+uint64(b)*4096+1)
+		}
+		if _, err := m.ScrubOnce(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
+	// One block short of the threshold: counted, repaired, not suspected.
+	corruptBlocks(0, corruptSuspectAfter-1)
+	if suspects := m.SuspectMemoryNodes(); len(suspects) != 0 {
+		t.Fatalf("suspects after %d corrupt blocks = %v, want none", corruptSuspectAfter-1, suspects)
+	}
+	if h := health(); h.Corruptions != corruptSuspectAfter-1 || h.State != "live" {
+		t.Fatalf("health = %+v, want %d corruptions and live", h, corruptSuspectAfter-1)
+	}
+
+	// One more distinct block crosses it.
+	corruptBlocks(corruptSuspectAfter-1, corruptSuspectAfter)
 	suspects := m.SuspectMemoryNodes()
 	if len(suspects) != 1 || suspects[0] != e.names[1] {
 		t.Fatalf("suspects = %v, want [%s]", suspects, e.names[1])
 	}
-	var h NodeHealth
-	for _, nh := range m.Health() {
-		if nh.Node == e.names[1] {
-			h = nh
-		}
-	}
-	if h.Corruptions < 2 {
-		t.Fatalf("health corruptions = %d, want >= 2", h.Corruptions)
+	if h := health(); h.Corruptions < corruptSuspectAfter {
+		t.Fatalf("health corruptions = %d, want >= %d", h.Corruptions, corruptSuspectAfter)
 	}
 }

@@ -59,8 +59,8 @@ func (m *Memory) publishMembership() {
 			err = c.Write(memnode.AdminRegionID, memnode.AdminMembershipOffset, buf[:])
 		}
 		if err != nil {
-			// Do not recurse into nodeFailed (which would republish); the
-			// next operation against this node will detect the failure.
+			// Do not feed noteResult (a death would republish); the next
+			// operation against this node will detect the failure.
 			m.stats.membershipPublishErrors.Add(1)
 			m.emit("membership.publish-error", m.nodeName(i), err.Error())
 			continue

@@ -54,7 +54,7 @@ func (m *Memory) readPlain(addr uint64, buf []byte) error {
 			err = c.Read(replRegion, m.physMain(addr), buf)
 		}
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteResult(i, c, 0, err)
 			if e := m.checkOpen(); e != nil {
 				return e
 			}
@@ -86,7 +86,7 @@ func (m *Memory) readEC(addr uint64, buf []byte) error {
 					return nil
 				}
 			}
-			m.noteConnError(j, c, err)
+			m.noteResult(j, c, 0, err)
 			if e := m.checkOpen(); e != nil {
 				return e
 			}
@@ -186,7 +186,7 @@ func (m *Memory) readBlockECInto(sc *ecScratch, b uint64, block []byte) ([]int, 
 				continue
 			}
 		}
-		m.noteConnError(j, c, err)
+		m.noteResult(j, c, 0, err)
 		if e := m.checkOpen(); e != nil {
 			return corrupt, e
 		}
@@ -225,7 +225,7 @@ func (m *Memory) DirectRead(addr uint64, buf []byte) error {
 			err = c.Read(replRegion, m.physDirect(addr), buf)
 		}
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteResult(i, c, 0, err)
 			if e := m.checkOpen(); e != nil {
 				return e
 			}
@@ -263,7 +263,7 @@ func (m *Memory) DirectReadAll(addr uint64, size int) ([][]byte, error) {
 				continue
 			}
 		}
-		m.noteConnError(i, c, err)
+		m.noteResult(i, c, 0, err)
 		if e := m.checkOpen(); e != nil {
 			return nil, e
 		}

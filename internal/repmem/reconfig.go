@@ -389,18 +389,14 @@ func (m *Memory) replaceTargets(slot int, joining rdma.Verbs) []cfgTarget {
 // swapSlot installs conn c and name as slot's identity.
 func (m *Memory) swapSlot(slot int, name string, c rdma.Verbs) {
 	m.dialMu[slot].Lock()
-	old := m.conns[slot].Swap(&connBox{v: c})
+	old := m.swapConn(slot, &connBox{v: c})
 	m.redialers[slot].retarget(name)
 	m.setNodeName(slot, name)
 	m.dialMu[slot].Unlock()
 	if old != nil && old.v != c {
 		old.v.Close()
 	}
-	h := &m.health[slot]
-	h.consecTimeouts.Store(0)
-	h.probeFails.Store(0)
-	h.corruptBlocks.Store(0)
-	h.ewma.Reset()
+	m.health[slot].reset()
 }
 
 // replaceLive is the shadow-mirror replacement of a live (or gray) member.
@@ -486,7 +482,9 @@ func (m *Memory) replaceLive(slot int, newName string, next uint32, c rdma.Verbs
 	}
 
 	m.swapSlot(slot, newName, c)
-	m.state[slot].Store(nodeLive)
+	// A gray outgoing node hands the slot to the joining one, which holds
+	// the whole image; ReplaceNode publishes the membership.
+	m.transition(slot, nodeLive, "replaced")
 	m.epoch.Store(next)
 	m.shadows[slot].Store(nil)
 	m.gate.Unlock()
@@ -525,7 +523,6 @@ func (m *Memory) replaceDead(slot int, newName string, next uint32, c rdma.Verbs
 	if err := m.rebuildSlot(slot, c); err != nil {
 		return fmt.Errorf("repmem: rebuild of joining node %s: %w", newName, err)
 	}
-	m.stats.nodeRecovered.Add(1)
 	return nil
 }
 

@@ -41,7 +41,7 @@ func (m *Memory) Recover() error {
 				continue
 			}
 		}
-		m.nodeFailed(i, err)
+		m.noteResult(i, nil, 0, err)
 		if e := m.checkOpen(); e != nil {
 			return e
 		}
@@ -71,7 +71,7 @@ func (m *Memory) Recover() error {
 		}
 		c, err := m.conn(i)
 		if err != nil {
-			m.nodeFailed(i, err)
+			m.noteResult(i, nil, 0, err)
 			continue
 		}
 		for s := 0; s < m.geo.Slots; s++ {
@@ -84,7 +84,7 @@ func (m *Memory) Recover() error {
 				continue
 			}
 			if err := c.Write(replRegion, uint64(s*m.geo.SlotSize), want); err != nil {
-				m.nodeFailed(i, err)
+				m.noteResult(i, nil, 0, err)
 				break
 			}
 		}
@@ -127,17 +127,6 @@ func (m *Memory) Recover() error {
 // this trade-off).
 const recoveryBatch = 64 << 10
 
-// errSuspectRepair routes a responsive suspect through nodeFailed so the
-// ordinary dead-node recovery path repairs it: a suspect may have missed
-// best-effort writes while gray, so it must be rebuilt in full before it
-// serves reads again.
-var errSuspectRepair = fmt.Errorf("repmem: suspect node responsive, repairing")
-
-// errDegradedRepair routes a degraded node whose probes have come back under
-// the straggler floor through the same full rebuild — it too received only
-// best-effort writes while excluded.
-var errDegradedRepair = fmt.Errorf("repmem: degraded node fast again, repairing")
-
 // StartRecovery launches the background recovery manager: a goroutine that
 // periodically polls failed memory nodes and reintegrates any that have
 // come back (paper §3.4.2). The returned function stops the manager.
@@ -154,43 +143,9 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 				if m.closed.Load() {
 					return
 				}
-				// Probe live nodes so failures are detected even on an idle
-				// group (ops would detect them too, but a read-from-cache
-				// workload may touch no memory node for a while). Probe
-				// timeouts feed the same suspicion counters as op timeouts.
-				for _, i := range m.nodesInState(nodeLive) {
-					c, err := m.conn(i)
-					if err == nil {
-						var probe [1]byte
-						err = c.Read(replRegion, 0, probe[:])
-					}
-					if err != nil {
-						m.noteConnError(i, c, err)
-					}
-				}
-				// Probe suspects: one that answers again is routed through
-				// the dead-node repair below (it may have missed best-effort
-				// writes while gray); one that keeps timing out is declared
-				// dead after suspectProbeLimit strikes.
-				for _, i := range m.nodesInState(nodeSuspect) {
-					c, err := m.conn(i)
-					if err == nil {
-						var probe [1]byte
-						err = c.Read(replRegion, 0, probe[:])
-					}
-					if err == nil {
-						m.health[i].probeFails.Store(0)
-						m.nodeFailed(i, errSuspectRepair)
-					} else if m.health[i].probeFails.Add(1) >= int32(m.cfg.SuspectProbeLimit) {
-						m.nodeFailed(i, err)
-					}
-				}
-				m.probeDegraded()
-				m.checkStragglers()
+				m.probeHealth()
 				for _, i := range m.nodesInState(nodeDead) {
-					if err := m.recoverNode(i); err == nil {
-						m.stats.nodeRecovered.Add(1)
-					}
+					m.recoverNode(i)
 				}
 			}
 		}
@@ -198,102 +153,18 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 	return func() { close(done) }
 }
 
-// checkStragglers marks live nodes whose smoothed write latency has drifted
-// far above the fastest live node's as degraded, so a node that is slow but
-// not hung (a gray straggler, Velos-style) stops delaying quorum writes.
-// Both a relative bar (StragglerFactor × the best live EWMA) and an
-// absolute floor (StragglerMinLatency) must be exceeded, and only nodes
-// with at least StragglerMinSamples samples are judged.
-//
-// Degraded — not suspect: a suspect is repaired the moment it answers a
-// probe, which a merely-slow node always does; the repair resets its EWMA,
-// the straggler check re-fires once the EWMA refills, and the node loops
-// through exclusion and rebuild forever. Sustained slowness (a replica
-// across a WAN link) instead parks in the degraded state until its probe
-// latency actually recovers — see probeDegraded.
-func (m *Memory) checkStragglers() {
-	if m.transferring.Load() {
-		return // bulk state transfer in flight: EWMAs are not comparable
-	}
-	live := m.nodesInState(nodeLive)
-	if len(live) < 2 {
-		return
-	}
-	best := -1.0
-	for _, i := range live {
-		if m.health[i].ewma.Count() < uint64(m.cfg.StragglerMinSamples) {
-			continue
-		}
-		if v := m.health[i].ewma.Value(); best < 0 || v < best {
-			best = v
-		}
-	}
-	if best < 0 {
-		return
-	}
-	floor := float64(m.cfg.StragglerMinLatency.Microseconds())
-	for _, i := range live {
-		if m.health[i].ewma.Count() < uint64(m.cfg.StragglerMinSamples) {
-			continue
-		}
-		v := m.health[i].ewma.Value()
-		if v > best*m.cfg.StragglerFactor && v > floor {
-			if m.degradeNode(i, "straggler") {
-				m.stats.stragglerSuspects.Add(1)
-			}
-		}
-	}
-}
-
-// probeDegraded times a small read against each degraded node. Successful
-// probes keep the node's latency EWMA current for the health surface; once
-// DegradeExitProbes consecutive probes land under the straggler floor the
-// slowness has genuinely passed and the node is routed through the full
-// rebuild (it may have missed best-effort writes while excluded). Probes
-// that fail outright count toward SuspectProbeLimit and then death — a
-// degraded node that stops answering is just dead.
-func (m *Memory) probeDegraded() {
-	for _, i := range m.nodesInState(nodeDegraded) {
-		c, err := m.conn(i)
-		start := time.Now()
-		if err == nil {
-			var probe [1]byte
-			err = c.Read(replRegion, 0, probe[:])
-		}
-		if err != nil {
-			m.health[i].fastProbes.Store(0)
-			if m.health[i].probeFails.Add(1) >= int32(m.cfg.SuspectProbeLimit) {
-				m.nodeFailed(i, err)
-			}
-			continue
-		}
-		lat := time.Since(start)
-		m.health[i].probeFails.Store(0)
-		m.health[i].ewma.Observe(float64(lat.Microseconds()))
-		if lat < m.cfg.StragglerMinLatency {
-			if m.health[i].fastProbes.Add(1) >= int32(m.cfg.DegradeExitProbes) {
-				m.nodeFailed(i, errDegradedRepair)
-			}
-		} else {
-			m.health[i].fastProbes.Store(0)
-		}
-	}
-}
-
 // RecoverNodeNow synchronously attempts to reintegrate the named memory
 // node. It is the hook tests and the failure-recovery benchmarks use to
-// avoid waiting for the background manager's poll tick. A suspect node is
-// demoted to dead first so it goes through the full rebuild.
+// avoid waiting for the background manager's poll tick. A suspect or
+// degraded node is demoted to dead first so it goes through the full
+// rebuild.
 func (m *Memory) RecoverNodeNow(node string) error {
 	for i := range m.nodes {
 		if m.nodeName(i) == node {
-			if m.state[i].Load() == nodeSuspect {
-				m.nodeFailed(i, errSuspectRepair)
-			}
-			if m.state[i].Load() == nodeDegraded {
-				m.nodeFailed(i, errDegradedRepair)
-			}
-			if m.state[i].Load() == nodeLive {
+			switch m.state[i].Load() {
+			case nodeSuspect, nodeDegraded:
+				m.transition(i, nodeDead, "repair")
+			case nodeLive:
 				// An apparently healthy node may have rebooted without the
 				// failure evidence having surfaced yet: an op parked on the
 				// old connection only completes with ErrFenced once the
@@ -303,20 +174,16 @@ func (m *Memory) RecoverNodeNow(node string) error {
 				// rebooted node reads empty.
 				if c, err := m.conn(i); err == nil {
 					if populated, err := readPopulated(c); err != nil {
-						m.noteConnError(i, c, err)
+						m.noteResult(i, c, 0, err)
 					} else if !populated {
-						m.markNodeDead(i)
+						m.transition(i, nodeDead, "rebooted")
 					}
 				}
 			}
 			if m.state[i].Load() != nodeDead {
 				return nil
 			}
-			err := m.recoverNode(i)
-			if err == nil {
-				m.stats.nodeRecovered.Add(1)
-			}
-			return err
+			return m.recoverNode(i)
 		}
 	}
 	return fmt.Errorf("repmem: unknown memory node %q", node)
@@ -353,7 +220,7 @@ func (m *Memory) recoverNode(i int) error {
 	// Probe reachability cheaply before committing to a full copy.
 	var probe [1]byte
 	if err := c.Read(replRegion, 0, probe[:]); err != nil {
-		m.nodeFailed(i, err)
+		m.noteResult(i, nil, 0, err)
 		return err
 	}
 
@@ -372,40 +239,39 @@ func (m *Memory) rebuildSlot(i int, c rdma.Verbs) error {
 	// coordinator dies mid-recovery, its successor must rebuild the node
 	// rather than read its half-copied memory.
 	if err := writePopulated(c, memnode.MarkerEmpty); err != nil {
-		m.nodeFailed(i, err)
+		m.noteResult(i, nil, 0, err)
 		return err
 	}
 
 	// Clear the WAL area while the node is still excluded from appends.
 	if err := m.zeroWAL(c); err != nil {
-		m.nodeFailed(i, err)
+		m.noteResult(i, nil, 0, err)
 		return err
 	}
 
 	// From here on the node receives every new append, apply, and direct
 	// write; reads still avoid it until the copy completes.
-	m.state[i].Store(nodeSyncing)
+	if !m.transition(i, nodeSyncing, "rebuild") {
+		return fmt.Errorf("repmem: rebuild of %s: node not dead", m.nodeName(i))
+	}
 
 	if err := m.copyDirectZone(i, c); err != nil {
-		m.nodeFailed(i, err)
+		m.noteResult(i, nil, 0, err)
 		return err
 	}
 	if err := m.copyMainMemory(i, c); err != nil {
-		m.nodeFailed(i, err)
+		m.noteResult(i, nil, 0, err)
 		return err
 	}
 	if err := writePopulated(c, memnode.MarkerPopulated); err != nil {
-		m.nodeFailed(i, err)
+		m.noteResult(i, nil, 0, err)
 		return err
 	}
-	m.health[i].consecTimeouts.Store(0)
-	m.health[i].probeFails.Store(0)
-	m.health[i].fastProbes.Store(0)
-	m.health[i].corruptBlocks.Store(0)
-	m.health[i].ewma.Reset()
-	m.state[i].Store(nodeLive)
-	m.emit("node.recovered", m.nodeName(i), "")
-	m.publishMembership()
+	// A failure observed mid-copy already moved the node back to dead; it
+	// may have missed writes since, so it is not readmitted.
+	if !m.transition(i, nodeLive, "rebuilt") {
+		return fmt.Errorf("repmem: rebuild of %s: node failed during the copy", m.nodeName(i))
+	}
 	return nil
 }
 
@@ -445,7 +311,7 @@ func (m *Memory) readDirectFromLive(addr uint64, buf []byte) error {
 				return nil
 			}
 		}
-		m.nodeFailed(j, err)
+		m.noteResult(j, nil, 0, err)
 		if e := m.checkOpen(); e != nil {
 			return e
 		}
@@ -564,7 +430,7 @@ func (m *Memory) readMainFromLive(addr uint64, buf []byte) error {
 				return nil
 			}
 		}
-		m.nodeFailed(j, err)
+		m.noteResult(j, nil, 0, err)
 		if e := m.checkOpen(); e != nil {
 			return e
 		}
@@ -573,39 +439,24 @@ func (m *Memory) readMainFromLive(addr uint64, buf []byte) error {
 }
 
 // LiveMemoryNodes returns the names of nodes currently serving reads.
-func (m *Memory) LiveMemoryNodes() []string {
-	var out []string
-	for _, i := range m.nodesInState(nodeLive) {
-		out = append(out, m.nodeName(i))
-	}
-	return out
-}
+func (m *Memory) LiveMemoryNodes() []string { return m.namesInState(nodeLive) }
 
 // DeadMemoryNodes returns the names of nodes currently considered failed.
-func (m *Memory) DeadMemoryNodes() []string {
-	var out []string
-	for _, i := range m.nodesInState(nodeDead) {
-		out = append(out, m.nodeName(i))
-	}
-	return out
-}
+func (m *Memory) DeadMemoryNodes() []string { return m.namesInState(nodeDead) }
 
 // SuspectMemoryNodes returns the names of nodes currently suspected gray:
 // excluded from quorum waits but still receiving writes best-effort.
-func (m *Memory) SuspectMemoryNodes() []string {
-	var out []string
-	for _, i := range m.nodesInState(nodeSuspect) {
-		out = append(out, m.nodeName(i))
-	}
-	return out
-}
+func (m *Memory) SuspectMemoryNodes() []string { return m.namesInState(nodeSuspect) }
 
 // DegradedMemoryNodes returns the names of nodes classified as persistently
 // slow: served around like suspects, but held out of the repair cycle until
 // their probe latency recovers.
-func (m *Memory) DegradedMemoryNodes() []string {
+func (m *Memory) DegradedMemoryNodes() []string { return m.namesInState(nodeDegraded) }
+
+// namesInState returns the names of the nodes in state s.
+func (m *Memory) namesInState(s int32) []string {
 	var out []string
-	for _, i := range m.nodesInState(nodeDegraded) {
+	for _, i := range m.nodesInState(s) {
 		out = append(out, m.nodeName(i))
 	}
 	return out

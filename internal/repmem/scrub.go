@@ -166,7 +166,7 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 				}
 			}
 		}
-		m.noteConnError(i, c, err)
+		m.noteResult(i, c, 0, err)
 		if m.checkOpen() != nil {
 			break
 		}
@@ -182,7 +182,7 @@ func (m *Memory) scrubMainBlock(b uint64) (corrupt, repaired, unrepaired int) {
 		corrupt++
 		m.noteCorruption(i, 1)
 		if err != nil {
-			m.noteConnError(i, c, err)
+			m.noteResult(i, c, 0, err)
 			unrepaired++
 			continue
 		}
@@ -240,7 +240,7 @@ func (m *Memory) scrubDirectRange(idx int) (corrupt, repaired, unrepaired int) {
 					continue
 				}
 			}
-			m.noteConnError(i, c, err)
+			m.noteResult(i, c, 0, err)
 			if m.checkOpen() != nil {
 				break
 			}
@@ -308,7 +308,7 @@ func (m *Memory) scrubDirectRange(idx int) (corrupt, repaired, unrepaired int) {
 			err = conn.Write(replRegion, m.physDirect(off), canonical)
 		}
 		if err != nil {
-			m.noteConnError(i, conn, err)
+			m.noteResult(i, conn, 0, err)
 			unrepaired++
 			continue
 		}

@@ -235,7 +235,7 @@ func (c *opCtx) complete(o *rdma.Op) {
 	*o = rdma.Op{}
 	c.m, c.conn, c.done = nil, nil, nil
 	opCtxPool.Put(c)
-	m.noteOpResult(node, conn, time.Since(start), err)
+	m.noteResult(node, conn, time.Since(start), err)
 	done(err)
 }
 
@@ -253,7 +253,7 @@ func (m *Memory) nodeWorkerLoop(i int, ch chan nodeReq) {
 		// from the write path itself, not only by the recovery manager.
 		conn, err := m.conn(i)
 		if err != nil {
-			m.noteNodeError(i, err)
+			m.noteResult(i, nil, 0, err)
 			req.done(err)
 			continue
 		}
@@ -261,7 +261,7 @@ func (m *Memory) nodeWorkerLoop(i int, ch chan nodeReq) {
 		sub, ok := conn.(rdma.Submitter)
 		if !ok {
 			err := conn.Write(req.region, req.offset, req.data)
-			m.noteOpResult(i, conn, time.Since(start), err)
+			m.noteResult(i, conn, time.Since(start), err)
 			req.done(err)
 			continue
 		}

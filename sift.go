@@ -141,29 +141,6 @@ type Config struct {
 	// detect hung-but-connected (gray) memory nodes. Default 1s; negative
 	// disables per-operation deadlines entirely.
 	OpDeadline time.Duration
-	// SuspectAfter and DeadAfter are the consecutive deadline-expiry
-	// counts after which a memory node is suspected gray (excluded from
-	// quorum waits, written best-effort) and declared dead (defaults 2
-	// and 16).
-	SuspectAfter int
-	DeadAfter    int
-	// StragglerFactor and StragglerMinLatency tune the EWMA straggler
-	// detector: a live memory node whose commit-latency EWMA exceeds both
-	// StragglerFactor × the fastest node's EWMA and the StragglerMinLatency
-	// floor is moved to the degraded state — health-reported, written
-	// best-effort, excluded from quorum waits, but not oscillated through
-	// the suspect→repair cycle (defaults 16 and 2ms).
-	StragglerFactor     float64
-	StragglerMinLatency time.Duration
-	// StragglerMinSamples is the minimum number of latency observations the
-	// straggler check needs before judging a node (default 8).
-	StragglerMinSamples int
-	// SuspectProbeLimit is how many consecutive failed probes a suspect or
-	// degraded memory node gets before being declared dead (default 4).
-	SuspectProbeLimit int
-	// DegradeExitProbes is how many consecutive sub-floor probes a degraded
-	// node must answer before it is rebuilt and readmitted (default 3).
-	DegradeExitProbes int
 
 	// WAN, when non-nil, places part of the deployment across a simulated
 	// wide-area link — sustained latency, bursty loss, reordering — with a
