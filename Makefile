@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race chaos linearize reconfig shard wan fuzz-short bench-pipeline bench-ec bench-json bench-baseline bench-gate capacity obs-smoke staticcheck
+.PHONY: tier1 race chaos integrity linearize reconfig shard wan fuzz-short bench-pipeline bench-ec bench-json bench-baseline bench-gate capacity obs-smoke staticcheck
 
 # Tier-1 verification: everything vets, builds, and every test passes.
 tier1:
@@ -16,6 +16,13 @@ race:
 # covers the TestChaosLinearize* scenarios.
 chaos: linearize
 	$(GO) test -race -count=2 -run 'TestChaos' .
+
+# Integrity suite: the repmem checksum, scrubber and corruption tests (span
+# reads, mid-run damage, read repair, corruption-driven suspicion) and the
+# cluster-level corruption chaos run, three times under the race detector.
+integrity:
+	$(GO) test -race -count=3 -timeout 5m -run 'Scrub|Integrity|Corrupt' ./internal/repmem/
+	$(GO) test -race -count=3 -timeout 10m -run 'TestChaosCorruption' .
 
 # Linearizability: checker unit tests, client retry regression tests, and
 # the chaos linearizability scenarios, under the race detector with a

@@ -599,10 +599,13 @@ func (n *CPUNode) coordinate(ctx context.Context, term uint16) {
 
 		teardown := func() {
 			n.store.Store(nil)
+			store.Close()
+			// The background loops are stopped after the memory closes: a
+			// closed memory fails their remaining steps fast, so waiting for
+			// them to exit never waits out a rebuild.
+			mem.Close()
 			stopRecovery()
 			stopScrub()
-			store.Close()
-			mem.Close()
 		}
 
 		select {

@@ -200,6 +200,9 @@ func (m *Memory) noteResult(i int, conn rdma.Verbs, lat time.Duration, err error
 	}
 	to, reason := nodeDead, "error"
 	switch {
+	case errors.Is(err, ErrClosed):
+		// This memory refused the op itself; the node is not at fault.
+		return
 	case conn == nil:
 		if errors.Is(err, rdma.ErrFenced) {
 			m.fence()

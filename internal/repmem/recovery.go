@@ -129,10 +129,13 @@ const recoveryBatch = 64 << 10
 
 // StartRecovery launches the background recovery manager: a goroutine that
 // periodically polls failed memory nodes and reintegrates any that have
-// come back (paper §3.4.2). The returned function stops the manager.
+// come back (paper §3.4.2). The returned function stops the manager and
+// returns once it has exited.
 func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
+	exited := make(chan struct{})
 	go func() {
+		defer close(exited)
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
@@ -150,7 +153,10 @@ func (m *Memory) StartRecovery(interval time.Duration) (stop func()) {
 			}
 		}
 	}()
-	return func() { close(done) }
+	return func() {
+		close(done)
+		<-exited
+	}
 }
 
 // RecoverNodeNow synchronously attempts to reintegrate the named memory

@@ -794,7 +794,10 @@ func (m *Memory) putSlot(b []byte) { m.slotPool.Put(&b) }
 
 // conn returns node i's connection, redialing through the node's
 // circuit-breaking redialer when it has been dropped. A node that was down
-// at connect time joins later through exactly this path.
+// at connect time joins later through exactly this path. Once the memory is
+// closed or fenced it never dials: the dial would acquire the exclusive
+// region and so revoke whichever coordinator — possibly a successor in this
+// very process — holds it now.
 func (m *Memory) conn(i int) (rdma.Verbs, error) {
 	if b := m.conns[i].Load(); b != nil {
 		return b.v, nil
@@ -806,6 +809,9 @@ func (m *Memory) conn(i int) (rdma.Verbs, error) {
 	defer m.dialMu[i].Unlock()
 	if b := m.conns[i].Load(); b != nil {
 		return b.v, nil
+	}
+	if m.closed.Load() {
+		return nil, m.checkOpen()
 	}
 	v, err := m.redialers[i].dialNow()
 	if err != nil {
@@ -924,8 +930,12 @@ func (m *Memory) Close() {
 	// Workers stop after the appliers have drained (they feed the workers)
 	// and before the connections close (queued requests still need them).
 	m.stopWorkers()
+	// Under dialMu, so a dial that began before closed was set has stored
+	// its connection by now and is dropped here, and none can begin after.
 	for i := range m.conns {
+		m.dialMu[i].Lock()
 		m.dropConn(i)
+		m.dialMu[i].Unlock()
 	}
 }
 

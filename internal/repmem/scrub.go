@@ -2,8 +2,12 @@ package repmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"sync"
 	"time"
+
+	"github.com/repro/sift/internal/rdma"
 )
 
 // Background scrubber: sweeps the materialized main memory (checksum
@@ -30,6 +34,13 @@ type ScrubReport struct {
 	Unrepaired   int // damage found that could not be safely repaired
 }
 
+// add folds one per-unit repair outcome into the report.
+func (r *ScrubReport) add(corrupt, repaired, unrepaired int) {
+	r.Corrupt += corrupt
+	r.Repaired += repaired
+	r.Unrepaired += unrepaired
+}
+
 // scrubMainBlocks returns how many main-memory blocks the scrubber covers
 // (zero with integrity off — without checksums a plain replica divergence
 // has no arbiter on the main space, where blocks are not self-validating).
@@ -47,12 +58,16 @@ func (m *Memory) scrubDirectRanges() int {
 
 // StartScrub launches the background scrubber: every tick it verifies the
 // next scrubBatch blocks, wrapping around indefinitely. The returned
-// function stops it. Pass progress and findings surface through Stats.
+// function stops it and returns once the scrubber has exited. Pass progress
+// and findings surface through Stats.
 func (m *Memory) StartScrub(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
+	exited := make(chan struct{})
 	go func() {
+		defer close(exited)
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
+		var r ScrubReport // the background cadence reports through Stats
 		cursor := 0
 		passStart := time.Now()
 		for {
@@ -63,7 +78,7 @@ func (m *Memory) StartScrub(interval time.Duration) (stop func()) {
 				if m.closed.Load() {
 					return
 				}
-				cursor = m.scrubStep(cursor, scrubBatch)
+				cursor = m.scrubStep(cursor, scrubBatch, &r)
 				if cursor == 0 {
 					m.stats.scrubPasses.Add(1)
 					m.scrubPassTime.Observe(float64(time.Since(passStart).Microseconds()))
@@ -72,40 +87,35 @@ func (m *Memory) StartScrub(interval time.Duration) (stop func()) {
 			}
 		}
 	}()
-	return func() { close(done) }
+	return func() {
+		close(done)
+		<-exited
+	}
 }
 
 // ScrubOnce runs one full synchronous sweep over the main memory and the
-// direct zone. It is the hook tests and operators use to force a complete
-// pass without waiting for the background cadence.
+// direct zone, scrubBatch units at a time like the background cadence. It
+// is the hook tests and operators use to force a complete pass without
+// waiting for the background ticks.
 func (m *Memory) ScrubOnce() (ScrubReport, error) {
 	var r ScrubReport
 	if err := m.checkOpen(); err != nil {
 		return r, err
 	}
 	start := time.Now()
-	for b := 0; b < m.scrubMainBlocks(); b++ {
-		c, rep, un := m.scrubMainBlock(uint64(b))
-		r.MainBlocks++
-		r.Corrupt += c
-		r.Repaired += rep
-		r.Unrepaired += un
-	}
-	for i := 0; i < m.scrubDirectRanges(); i++ {
-		c, rep, un := m.scrubDirectRange(i)
-		r.DirectRanges++
-		r.Corrupt += c
-		r.Repaired += rep
-		r.Unrepaired += un
+	for cursor := m.scrubStep(0, scrubBatch, &r); cursor != 0; {
+		cursor = m.scrubStep(cursor, scrubBatch, &r)
 	}
 	m.stats.scrubPasses.Add(1)
 	m.scrubPassTime.Observe(float64(time.Since(start).Microseconds()))
 	return r, m.checkOpen()
 }
 
-// scrubStep examines n blocks starting at the sweep cursor and returns the
-// new cursor (zero after completing a pass).
-func (m *Memory) scrubStep(cursor, n int) int {
+// scrubStep examines n units — main blocks, then direct ranges — starting
+// at the sweep cursor, one span per run of consecutive units of a kind, and
+// returns the new cursor (zero after completing a pass). Findings are
+// added to r.
+func (m *Memory) scrubStep(cursor, n int, r *ScrubReport) int {
 	mainBlocks := m.scrubMainBlocks()
 	total := mainBlocks + m.scrubDirectRanges()
 	if total == 0 {
@@ -114,20 +124,151 @@ func (m *Memory) scrubStep(cursor, n int) int {
 	if cursor >= total {
 		cursor = 0
 	}
-	for ; n > 0 && cursor < total; n, cursor = n-1, cursor+1 {
+	for n > 0 && cursor < total {
 		if m.closed.Load() {
 			return 0
 		}
+		var run int
 		if cursor < mainBlocks {
-			m.scrubMainBlock(uint64(cursor))
+			run = min(n, mainBlocks-cursor)
+			m.scrubMainRun(uint64(cursor), run, r)
 		} else {
-			m.scrubDirectRange(cursor - mainBlocks)
+			run = min(n, total-cursor)
+			m.scrubDirectRun(cursor-mainBlocks, run, r)
 		}
+		cursor += run
+		n -= run
 	}
 	if cursor >= total {
 		return 0
 	}
 	return cursor
+}
+
+// readAll issues ops all at once, per consecutive ones to each node in
+// nodes: pipelined on connections that accept submission, one goroutine per
+// op otherwise. It returns when every op has completed, each outcome in its
+// Err; a node whose connection cannot be had fails all its ops.
+func (m *Memory) readAll(nodes []int, ops []rdma.Op, per int) {
+	var wg sync.WaitGroup
+	done := func(*rdma.Op) { wg.Done() }
+	for k, i := range nodes {
+		c, err := m.conn(i)
+		sub, pipelined := c.(rdma.Submitter)
+		for j := k * per; j < (k+1)*per; j++ {
+			op := &ops[j]
+			switch {
+			case err != nil:
+				op.Err = err
+			case pipelined:
+				wg.Add(1)
+				op.Done = done
+				sub.Submit(op)
+			default:
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					op.Err = c.Read(op.Region, op.Offset, op.Data)
+				}()
+			}
+		}
+	}
+	wg.Wait()
+}
+
+// scrubMainRun checks main blocks [b0, b0+count) on every live replica with
+// one READ of the run's bytes and one of its strip entries per node, all in
+// flight together under a single read-lock hold. Each block is held to
+// scrubMainBlock's checks — its CRC against the checksum cache, and the
+// stored strip entry against the cache. A block that fails a check on any
+// replica, or that a replica could not return, goes through scrubMainBlock,
+// which re-reads it under the block's own locks, counts, and repairs.
+func (m *Memory) scrubMainRun(b0 uint64, count int, r *ScrubReport) {
+	g := m.integ
+	last := b0 + uint64(count) - 1
+	addr, _ := g.blockRange(b0)
+	lastAddr, lastLen := g.blockRange(last)
+	span := int(lastAddr-addr) + lastLen
+	dataLen := int(g.physOff(last)-g.physOff(b0)) + g.physLen(last)
+
+	live := m.nodesInState(nodeLive)
+	ops := make([]rdma.Op, 0, 2*len(live))
+	for range live {
+		ops = append(ops,
+			rdma.Op{Kind: rdma.OpRead, Region: replRegion, Offset: g.physOff(b0), Data: make([]byte, dataLen)},
+			rdma.Op{Kind: rdma.OpRead, Region: replRegion, Offset: g.stripOff(b0), Data: make([]byte, 4*count)})
+	}
+	suspect := make([]bool, count)
+	m.locks.rlockSpan(addr, span)
+	m.readAll(live, ops, 2)
+	for k, i := range live {
+		data, strip := &ops[2*k], &ops[2*k+1]
+		for j := range suspect {
+			b := b0 + uint64(j)
+			off := uint64(j) * g.physIBS
+			sum := g.sum(i, b)
+			suspect[j] = suspect[j] || data.Err != nil || strip.Err != nil ||
+				crcBlock(data.Data[off:off+uint64(g.physLen(b))]) != sum ||
+				binary.LittleEndian.Uint32(strip.Data[4*j:]) != sum
+		}
+	}
+	m.locks.runlockSpan(addr, span)
+
+	for j, bad := range suspect {
+		if m.checkOpen() != nil {
+			return
+		}
+		r.MainBlocks++
+		if bad {
+			r.add(m.scrubMainBlock(b0 + uint64(j)))
+		} else {
+			m.stats.scrubbed.Add(1)
+		}
+	}
+}
+
+// scrubDirectRun checks direct-zone ranges [idx0, idx0+count) with one READ
+// of the whole run per live node, all in flight together under a single
+// read-lock hold. A range whose copies a replica could not return or that
+// differ across replicas goes through scrubDirectRange, which re-reads,
+// counts, and re-converges it.
+func (m *Memory) scrubDirectRun(idx0, count int, r *ScrubReport) {
+	off := uint64(idx0) * scrubDirectChunk
+	n := min64(uint64(count)*scrubDirectChunk, uint64(m.cfg.DirectSize)-off)
+
+	live := m.nodesInState(nodeLive)
+	ops := make([]rdma.Op, len(live))
+	for k := range ops {
+		ops[k] = rdma.Op{Kind: rdma.OpRead, Region: replRegion, Offset: m.physDirect(off), Data: make([]byte, n)}
+	}
+	m.directLocks.rlockSpan(off, int(n))
+	m.readAll(live, ops, 1)
+	m.directLocks.runlockSpan(off, int(n))
+
+	for j := 0; j < count; j++ {
+		if m.checkOpen() != nil {
+			return
+		}
+		r.DirectRanges++
+		lo := uint64(j) * scrubDirectChunk
+		hi := min64(lo+scrubDirectChunk, n)
+		if copiesAgree(ops, lo, hi) {
+			m.stats.scrubbed.Add(1)
+		} else {
+			r.add(m.scrubDirectRange(idx0 + j))
+		}
+	}
+}
+
+// copiesAgree reports whether every op read [lo, hi) of its buffer without
+// error and all those bytes are identical.
+func copiesAgree(ops []rdma.Op, lo, hi uint64) bool {
+	for k := range ops {
+		if ops[k].Err != nil || !bytes.Equal(ops[k].Data[lo:hi], ops[0].Data[lo:hi]) {
+			return false
+		}
+	}
+	return true
 }
 
 // scrubMainBlock verifies block b on every live replica against the

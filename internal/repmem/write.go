@@ -65,6 +65,9 @@ func (m *Memory) WriteBatch(writes []wal.Write) error {
 	}
 	idx := m.nextIndex
 	m.nextIndex++
+	// Registered while seqMu shows the memory open: Close sets closed before
+	// it takes seqMu, so its applyWG.Wait cannot overtake this Add.
+	m.applyWG.Add(1)
 	m.seqMu.Unlock()
 
 	entry := wal.Entry{Index: idx, Writes: writes}
@@ -74,6 +77,7 @@ func (m *Memory) WriteBatch(writes []wal.Write) error {
 		m.putSlot(slot)
 		m.finishEntry(idx)
 		unlock()
+		m.applyWG.Done()
 		return fmt.Errorf("repmem: %w", err)
 	}
 	// Zero the slot tail: recovery compares raw slot bytes against freshly
@@ -95,6 +99,7 @@ func (m *Memory) WriteBatch(writes []wal.Write) error {
 			<-appendsDone
 			m.finishEntry(idx)
 		}()
+		m.applyWG.Done()
 		return err
 	}
 	m.stats.writes.Add(1)
@@ -104,7 +109,6 @@ func (m *Memory) WriteBatch(writes []wal.Write) error {
 
 	// Committed: hand the apply to the background pool. The caller's locks
 	// are released by the applier.
-	m.applyWG.Add(1)
 	go func() {
 		m.applySem <- struct{}{}
 		defer func() {
